@@ -167,37 +167,6 @@ impl Outcome {
     }
 }
 
-/// A small deterministic generator (SplitMix64) for seeded draws.
-pub struct Rng(u64);
-
-impl Rng {
-    /// A generator for `seed` and a per-purpose `salt`.
-    pub fn new(seed: u64, salt: u64) -> Rng {
-        Rng(seed ^ salt.rotate_left(17))
-    }
-
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform index below `n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
-    }
-}
-
 /// Reads one `kB` field of `/proc/<pid>/status` (`pid` `None`: this
 /// process).
 pub fn proc_status_field(pid: Option<u32>, field: &str) -> Option<u64> {
@@ -361,7 +330,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 fn run_workload(args: &Args, ctx: &Ctx, traced: bool) -> Result<Outcome, String> {
     let tracer = Tracer::new(traced, Instant::now());
     match args.workload.as_str() {
-        "paper" => paper::run(ctx, tracer),
+        "paper" => paper::run(tracer),
         "sessions" => sessions::run(ctx, tracer),
         _ => wire::run(ctx, tracer),
     }
@@ -626,16 +595,5 @@ mod tests {
         assert_eq!(got["store.bytes_written"], 100.0);
         assert_eq!(got["store.compactions"], 1.0);
         assert_eq!(got["server.transport_p99_ms"], 1.5);
-    }
-
-    #[test]
-    fn seeded_shuffles_repeat() {
-        let draw = |seed| {
-            let mut v: Vec<u32> = (0..20).collect();
-            Rng::new(seed, 1).shuffle(&mut v);
-            v
-        };
-        assert_eq!(draw(5), draw(5));
-        assert_ne!(draw(5), draw(6));
     }
 }

@@ -1,6 +1,7 @@
 //! `paper`: the §7.1 per-test prediction protocol over all 76 suite
 //! benchmarks at the paper's defaults (1 s synthesis deadline), on one
-//! thread, in process. No service, store or server code runs.
+//! thread, in process. No service, store or server code runs. The work
+//! is the same for every seed.
 
 use std::time::Instant;
 
@@ -12,11 +13,13 @@ use webrobot_synth::{SynthConfig, Synthesizer};
 
 use crate::stats::{nearest_rank, pct};
 use crate::trace::Tracer;
-use crate::{peak_rss_mb, Ctx, Outcome, Rng, Work};
+use crate::{peak_rss_mb, Outcome, Work};
 
-/// Set-up is repeated and its median reported: one set-up takes tens of
-/// milliseconds and spreads by a third between repetitions.
-const SETUP_REPS: usize = 5;
+/// Set-up is repeated and its median reported. One set-up takes about
+/// 60 ms, and the host's speed drifts over tenths of a second, so the
+/// repetitions span about 2 s: a median of 5 spread by a third between
+/// runs.
+const SETUP_REPS: usize = 31;
 
 /// Protocol passes per run: the p50 and p99 pool every pass's tests.
 const PASSES: usize = 2;
@@ -30,10 +33,9 @@ struct Input {
     recordings: Vec<Recording>,
 }
 
-/// Builds the suite in a seeded order and records every ground truth.
-fn set_up(seed: u64, tracer: &mut Tracer) -> Result<Input, String> {
-    let mut benches = suite();
-    Rng::new(seed, 0x9A9E).shuffle(&mut benches);
+/// Builds the suite and records every ground truth.
+fn set_up(tracer: &mut Tracer) -> Result<Input, String> {
+    let benches = suite();
     let recordings = benches
         .iter()
         .map(|b| {
@@ -131,10 +133,12 @@ fn pass(
     p
 }
 
-pub fn run(ctx: &Ctx, mut tracer: Tracer) -> Result<Outcome, String> {
+pub fn run(mut tracer: Tracer) -> Result<Outcome, String> {
     let mut setup_s = Vec::new();
     let mut input = None;
     for rep in 0..SETUP_REPS {
+        // Drop the previous repetition's inputs before timing the next.
+        drop(input.take());
         let mut untraced = Tracer::new(false, Instant::now());
         let t = if rep + 1 == SETUP_REPS {
             &mut tracer
@@ -142,7 +146,7 @@ pub fn run(ctx: &Ctx, mut tracer: Tracer) -> Result<Outcome, String> {
             &mut untraced
         };
         let started = Instant::now();
-        input = Some(set_up(ctx.seed, t)?);
+        input = Some(set_up(t)?);
         setup_s.push(started.elapsed().as_secs_f64());
     }
     let Input {

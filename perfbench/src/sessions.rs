@@ -1,8 +1,8 @@
 //! `sessions`: oracle users driven through `ShardedManager::handle_json`
 //! with two shards on a fresh `SegmentStore`.
 //!
-//! The inputs are a fixed half of the suite plus the five generated
-//! families at the run's seed. The client holds each
+//! The inputs are a fixed list of suite benchmarks plus the five
+//! generated families at the run's seed. The client holds each
 //! recording's action and DOM trace and picks demonstrate, accept,
 //! reject_all, automate_step or interrupt from the wire predictions with
 //! `action_consistent`, as `interact::drive_session` does. Each load
@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use webrobot_benchmarks::{generated, suite, Benchmark, GenFamily};
+use webrobot_benchmarks::{benchmark, generated, Benchmark, GenFamily};
 use webrobot_browser::{Output, Recording};
 use webrobot_data::{parse_json, Value};
 use webrobot_interact::Event;
@@ -28,14 +28,23 @@ use crate::stats::{session_accuracy_pct, sessions_solved_pct, SessionTally};
 use crate::trace::Tracer;
 use crate::{peak_rss_mb, scrape_counters, service_span, wire_outputs, Ctx, Outcome, Work};
 
-/// Every second suite benchmark in recorded-trace-length order, starting
-/// from the second: half the suite, spread over every length, including
-/// the four benchmarks whose searches hit the deadline or the item cap
-/// under the paper protocol (b56, b58, b59, b62). A per-seed random subset
-/// moved throughput by ±30% between seeds; a fixed half keeps the suite
-/// work the same in every run.
-const SUITE_OFFSET: usize = 1;
-const SUITE_STRIDE: usize = 2;
+/// The suite benchmarks the workload drives, in two groups. The short
+/// ones are the 22 whose oracle session ends on an `automate_step` that
+/// waits out the 1 s deadline after the program has run out, and that
+/// take at most 57 requests. The heavy ones are b56, b58, b59 and b62,
+/// whose searches hit the deadline or the item cap under the paper
+/// protocol. About 30 of the run's 1,540 requests (2%) are then
+/// deadline-bound, so the nearest-rank p99 always falls in that cluster
+/// and reads the deadline. A plain sample of the suite puts 0.8-0.9% of
+/// requests there, which put the p99 on the cluster's edge: it read the
+/// deadline or the slowest finished search, depending on machine speed.
+const SHORT_IDS: [u32; 22] = [
+    12, 13, 14, 16, 19, 22, 24, 26, 27, 28, 43, 44, 45, 46, 47, 49, 50, 51, 52, 54, 55, 57,
+];
+const HEAVY_IDS: [u32; 4] = [56, 58, 59, 62];
+/// Short sessions that join the heavy and generated ones on the first
+/// shard, so that both shards wait out about 15 deadlines.
+const SHORT_ON_FIRST: usize = 7;
 /// Shards, and load threads (one per shard).
 const SHARDS: usize = 2;
 /// Live sessions per shard; each load thread keeps `WINDOW` open.
@@ -45,8 +54,11 @@ const WINDOW: usize = 3;
 const BURST: usize = 16;
 /// The first load thread checkpoints after every this many requests.
 const CHECKPOINT_EVERY: usize = 128;
-/// Set-up is repeated and its median reported.
-const SETUP_REPS: usize = 5;
+/// Set-up is repeated and its median reported. One set-up takes about
+/// 20 ms, and the host's speed drifts over tenths of a second, so the
+/// repetitions span about 2 s: a median of 5 or 21 spread by a quarter
+/// or more between runs.
+const SETUP_REPS: usize = 101;
 
 /// One session's inputs: its registered site and its recording.
 struct Task {
@@ -55,30 +67,44 @@ struct Task {
     recording: Recording,
 }
 
-/// The inputs: half the suite (see `SUITE_STRIDE`) in trace-length order,
-/// then the five generated families at `seed`.
+/// The inputs, labelled, in creation order. Session ids alternate
+/// between the shards in creation order, so the even positions go to the
+/// first shard. It gets the heavy benchmarks, the five generated families
+/// at `seed` and the `SHORT_ON_FIRST` shortest short ones; the second
+/// shard gets the other short ones. The heavy sessions then never search
+/// at the same time, which made peak RSS depend on whether their
+/// deadline-bound searches happened to overlap.
 fn inputs(seed: u64, tracer: &mut Tracer) -> Result<Vec<(String, Benchmark, Recording)>, String> {
-    let record = |tracer: &mut Tracer, b: &Benchmark| {
-        tracer
+    let mut record = |b: Benchmark, label: String| {
+        let rec = tracer
             .time("browser.record", 0, || b.record())
-            .map_err(|e| format!("{} failed to record: {e}", b.name))
+            .map_err(|e| format!("{label} failed to record: {e}"))?;
+        Ok::<_, String>((label, b, rec))
     };
-    let mut all: Vec<(Benchmark, Recording)> = Vec::new();
-    for b in suite() {
-        let rec = record(tracer, &b)?;
-        all.push((b, rec));
-    }
-    all.sort_by_key(|(b, rec)| (rec.trace.len(), b.id));
-    let mut out: Vec<_> = all
-        .into_iter()
-        .skip(SUITE_OFFSET)
-        .step_by(SUITE_STRIDE)
-        .map(|(b, rec)| (format!("b{}", b.id), b, rec))
-        .collect();
+    let mut suite_part = |ids: &[u32]| {
+        let mut out = Vec::new();
+        for &id in ids {
+            let b = benchmark(id).ok_or(format!("no suite benchmark b{id}"))?;
+            out.push(record(b, format!("b{id}"))?);
+        }
+        out.sort_by_key(|(_, b, rec)| (rec.trace.len(), b.id));
+        Ok::<_, String>(out)
+    };
+    let mut first = suite_part(&HEAVY_IDS)?;
+    let mut short = suite_part(&SHORT_IDS)?;
+    let second = short.split_off(SHORT_ON_FIRST);
     for family in GenFamily::ALL {
-        let b = generated(family, seed);
-        let rec = record(tracer, &b)?;
-        out.push((format!("gen-{}-{seed}", family.key()), b, rec));
+        first.push(record(
+            generated(family, seed),
+            format!("gen-{}-{seed}", family.key()),
+        )?);
+    }
+    first.extend(short);
+    let mut out = Vec::new();
+    let mut second = second.into_iter();
+    for input in first {
+        out.push(input);
+        out.extend(second.next());
     }
     Ok(out)
 }
@@ -189,6 +215,9 @@ struct Live<'t> {
     predictions: Vec<Action>,
     tally: SessionTally,
     steps: usize,
+    /// The session ended as a user would end it: on a `finish` reply or in
+    /// mode `done`. Not set when a request failed or the step cap cut it.
+    ended: bool,
 }
 
 impl Live<'_> {
@@ -235,7 +264,8 @@ impl Live<'_> {
                     ("interrupt", Event::Interrupt)
                 }
             }
-            _ => {
+            mode => {
+                self.ended = mode == "done";
                 self.tally.script_ran = self.pos == actions.len();
                 return false;
             }
@@ -263,6 +293,7 @@ impl Live<'_> {
                 self.pos += 1;
             }
             "finish" => {
+                self.ended = true;
                 self.tally.script_ran = true;
                 return false;
             }
@@ -271,7 +302,7 @@ impl Live<'_> {
         self.mode = reply
             .field("mode")
             .and_then(Value::as_str)
-            .unwrap_or("done")
+            .unwrap_or("")
             .to_string();
         self.predictions = reply
             .field("predictions")
@@ -284,8 +315,19 @@ impl Live<'_> {
     }
 
     /// Checks a session whose script ran against its recording, then
-    /// closes it.
+    /// closes it. A session that did not end normally is a violation.
     fn close(self, d: &mut LoadClient) {
+        if !self.ended {
+            d.violations.push(format!(
+                "sessions: {} ({}) did not end: {} steps, mode {}, {} of {} actions done",
+                self.id,
+                self.task.label,
+                self.steps,
+                self.mode,
+                self.pos,
+                self.task.recording.trace.actions().len()
+            ));
+        }
         if self.tally.script_ran {
             let request = Request::Outputs {
                 session: self.id.clone(),
@@ -351,6 +393,7 @@ fn drive(d: &mut LoadClient, sessions: Vec<(&Task, String)>, checkpoints: bool) 
                 predictions: Vec::new(),
                 tally: SessionTally::default(),
                 steps: 0,
+                ended: false,
             });
         }
         let mut i = 0;
@@ -455,7 +498,7 @@ pub fn run(ctx: &Ctx, mut tracer: Tracer) -> Result<Outcome, String> {
         latencies_ms,
         failed,
         tallies,
-        mut violations,
+        violations,
         tracer,
         ..
     } = main;
@@ -483,13 +526,6 @@ pub fn run(ctx: &Ctx, mut tracer: Tracer) -> Result<Outcome, String> {
         latencies_ms.len(),
         tallies.iter().filter(|t| t.solved_by_pbd()).count(),
     );
-    if tallies.len() != tasks.len() {
-        violations.push(format!(
-            "sessions: {} of {} sessions completed",
-            tallies.len(),
-            tasks.len()
-        ));
-    }
     Ok(Outcome {
         setup_s,
         accuracy_pct: (
