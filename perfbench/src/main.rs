@@ -133,6 +133,15 @@ pub struct Work {
     pub deadline_bound_requests: u64,
 }
 
+/// A stretch of a run's timed phase, for workloads that report their
+/// timings as medians over blocks.
+pub struct Block {
+    /// Milliseconds per op in the block.
+    pub latencies_ms: Vec<f64>,
+    /// Wall time the block took.
+    pub seconds: f64,
+}
+
 /// One workload run, as measured from outside the program.
 pub struct Outcome {
     /// Seconds per set-up repetition.
@@ -141,6 +150,10 @@ pub struct Outcome {
     pub latencies_ms: Vec<f64>,
     /// Seconds of the timed phase.
     pub timed_s: f64,
+    /// Consecutive blocks of the timed phase (`wire`): the p50, p99 and
+    /// throughput are then medians over the blocks. Empty for workloads
+    /// that report over the whole run.
+    pub blocks: Vec<Block>,
     /// Ops that returned an error reply, were refused or hit a transport
     /// error.
     pub failed: usize,
@@ -148,8 +161,9 @@ pub struct Outcome {
     pub accuracy_pct: (f64, usize),
     /// The workload's solved share, and over how many units.
     pub solved_pct: (f64, usize),
-    /// `VmHWM` of the process under test.
-    pub peak_rss_mb: f64,
+    /// `VmHWM` of the process under test (the mean when there are
+    /// several), and over how many processes.
+    pub peak_rss_mb: (f64, usize),
     /// Per-layer values read without spans: engine counts, the metrics
     /// scrape, `/proc` gauges.
     pub counters: Vec<(String, f64)>,
@@ -159,6 +173,9 @@ pub struct Outcome {
     pub violations: Vec<String>,
     /// The run's spans (empty when untraced).
     pub tracer: Tracer,
+    /// Per span name: span count and self time in nanoseconds, recorded
+    /// in child processes (`paper` passes) rather than in `tracer`.
+    pub child_self_times: BTreeMap<String, (usize, u64)>,
 }
 
 impl Outcome {
@@ -330,7 +347,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 fn run_workload(args: &Args, ctx: &Ctx, traced: bool) -> Result<Outcome, String> {
     let tracer = Tracer::new(traced, Instant::now());
     match args.workload.as_str() {
-        "paper" => paper::run(tracer),
+        "paper" => paper::run(ctx, tracer),
         "sessions" => sessions::run(ctx, tracer),
         _ => wire::run(ctx, tracer),
     }
@@ -346,16 +363,38 @@ fn end_to_end(o: &Outcome) -> Result<Vec<(&'static str, f64)>, String> {
         "only {ops} ops: the p99 needs at least {}",
         stats::P99_MIN_SAMPLES
     ))?;
+    let (mut p50, mut p99, mut throughput) = (
+        nearest_rank(&sorted, 50.0).unwrap_or(0.0),
+        p99,
+        o.throughput(),
+    );
+    let mut timing_n = "ops".to_string();
+    if !o.blocks.is_empty() {
+        let (mut p50s, mut p99s, mut throughputs) = (Vec::new(), Vec::new(), Vec::new());
+        for b in &o.blocks {
+            let mut block = b.latencies_ms.clone();
+            block.sort_by(f64::total_cmp);
+            p50s.push(nearest_rank(&block, 50.0).unwrap_or(0.0));
+            p99s.push(stats::p99(&block).ok_or(format!(
+                "a block of only {} ops: the p99 needs at least {}",
+                block.len(),
+                stats::P99_MIN_SAMPLES
+            ))?);
+            throughputs.push(block.len() as f64 / b.seconds);
+        }
+        (p50, p99, throughput) = (median(&p50s), median(&p99s), median(&throughputs));
+        timing_n = format!("ops; median of {} blocks", o.blocks.len());
+    }
     let failed_pct = pct(o.failed, ops);
     let values = [
         (median(&o.setup_s), o.setup_s.len(), "set-ups"),
-        (nearest_rank(&sorted, 50.0).unwrap_or(0.0), ops, "ops"),
-        (p99, ops, "ops"),
-        (o.throughput(), ops, "ops"),
+        (p50, ops, timing_n.as_str()),
+        (p99, ops, timing_n.as_str()),
+        (throughput, ops, timing_n.as_str()),
         (o.accuracy_pct.0, o.accuracy_pct.1, "samples"),
         (o.solved_pct.0, o.solved_pct.1, "units"),
         (100.0 - failed_pct, ops, "ops"),
-        (o.peak_rss_mb, 1, "reading"),
+        (o.peak_rss_mb.0, o.peak_rss_mb.1, "processes"),
     ];
     let mut out = Vec::new();
     for ((name, unit), (value, n, what)) in END_TO_END.iter().zip(values) {
@@ -376,8 +415,14 @@ fn end_to_end(o: &Outcome) -> Result<Vec<(&'static str, f64)>, String> {
 /// The per-layer metrics of a traced run: span self times, counters, and
 /// the overhead against the untraced run's throughput.
 fn per_layer_values(traced: &Outcome, untraced: &Outcome) -> Vec<(String, f64, &'static str)> {
-    let mut values: BTreeMap<String, f64> = BTreeMap::new();
+    let mut layers = traced.child_self_times.clone();
     for (name, (count, self_ns)) in self_times(traced.tracer.spans()) {
+        let entry = layers.entry(name.to_string()).or_default();
+        entry.0 += count;
+        entry.1 += self_ns;
+    }
+    let mut values: BTreeMap<String, f64> = BTreeMap::new();
+    for (name, &(count, self_ns)) in &layers {
         values.insert(format!("{name}_s"), self_ns as f64 / 1e9);
         if name.starts_with("service.") {
             values.insert(format!("{name}_n"), count as f64);
@@ -396,7 +441,7 @@ fn per_layer_values(traced: &Outcome, untraced: &Outcome) -> Vec<(String, f64, &
     );
     values.insert(
         "trace.spans".to_string(),
-        traced.tracer.spans().len() as f64,
+        layers.values().map(|(count, _)| *count).sum::<usize>() as f64,
     );
     per_layer()
         .into_iter()
@@ -461,18 +506,22 @@ fn run(args: &Args) -> Result<bool, String> {
     let mut violations = untraced.violations.clone();
     let (metrics, attempted, failed) = if args.trace {
         let traced = run_workload(args, &ctx, true)?;
-        let spans = ctx
-            .out_dir
-            .join(format!("spans-{}-seed{}.tsv", args.workload, args.seed));
-        traced
-            .tracer
-            .write(&spans)
-            .map_err(|e| format!("write {}: {e}", spans.display()))?;
-        println!(
-            "traced run: {} spans written to {}",
-            traced.tracer.spans().len(),
-            spans.display()
-        );
+        // `paper` records its spans in its pass processes, which write
+        // their own files.
+        if !traced.tracer.spans().is_empty() {
+            let spans = ctx
+                .out_dir
+                .join(format!("spans-{}-seed{}.tsv", args.workload, args.seed));
+            traced
+                .tracer
+                .write(&spans)
+                .map_err(|e| format!("write {}: {e}", spans.display()))?;
+            println!(
+                "traced run: {} spans written to {}",
+                traced.tracer.spans().len(),
+                spans.display()
+            );
+        }
         report_work(&ctx, &args.workload, traced.work);
         violations.extend(traced.violations.iter().cloned());
         let metrics = per_layer_values(&traced, &untraced);
@@ -507,6 +556,15 @@ fn run(args: &Args) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some(paper::PASS_FLAG) {
+        return match paper::pass_main(&args[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(message) => {
+                eprintln!("perfbench: {message}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let args = match parse_args(&args) {
         Ok(args) => args,
         Err(message) => {
@@ -577,6 +635,46 @@ mod tests {
         assert!(parse_args(&args("--workload paper --seed 3 --seconds 0 --trace 0")).is_err());
         assert!(parse_args(&args("--workload paper --seed 3 --seconds 20 --trace 2")).is_err());
         assert!(parse_args(&args("--workload paper --seed 3 --seconds 20")).is_err());
+    }
+
+    fn outcome(blocks: Vec<Block>) -> Outcome {
+        Outcome {
+            setup_s: vec![1.0],
+            latencies_ms: blocks.iter().flat_map(|b| b.latencies_ms.clone()).collect(),
+            timed_s: 10.0,
+            blocks,
+            failed: 0,
+            accuracy_pct: (100.0, 1),
+            solved_pct: (100.0, 1),
+            peak_rss_mb: (1.0, 1),
+            counters: Vec::new(),
+            work: Work::default(),
+            violations: Vec::new(),
+            tracer: Tracer::new(false, Instant::now()),
+            child_self_times: BTreeMap::new(),
+        }
+    }
+
+    #[test]
+    fn block_timings_are_medians_over_blocks() {
+        // Block k: 1,000 ops of k + 1 ms, plus one slow op in the last.
+        let mut blocks: Vec<Block> = (0..3)
+            .map(|k| Block {
+                latencies_ms: vec![k as f64 + 1.0; 1_000],
+                seconds: [1.0, 2.0, 4.0][k],
+            })
+            .collect();
+        blocks[2].latencies_ms.push(500.0);
+        let got: BTreeMap<&str, f64> = end_to_end(&outcome(blocks)).unwrap().into_iter().collect();
+        assert_eq!(got["latency_p50_ms"], 2.0);
+        assert_eq!(got["latency_p99_ms"], 2.0);
+        assert_eq!(got["throughput_per_s"], 500.0);
+
+        let short = vec![Block {
+            latencies_ms: vec![1.0; 999],
+            seconds: 1.0,
+        }];
+        assert!(end_to_end(&outcome(short)).is_err());
     }
 
     #[test]

@@ -535,11 +535,13 @@ pub fn run(ctx: &Ctx, mut tracer: Tracer) -> Result<Outcome, String> {
         solved_pct: (sessions_solved_pct(&tallies), tallies.len()),
         latencies_ms,
         timed_s,
+        blocks: Vec::new(),
         failed,
-        peak_rss_mb: peak,
+        peak_rss_mb: (peak, 1),
         counters,
         work,
         violations,
         tracer,
+        child_self_times: Default::default(),
     })
 }

@@ -51,6 +51,11 @@ impl Tracer {
         }
     }
 
+    /// Whether spans are recorded.
+    pub fn is_on(&self) -> bool {
+        self.on
+    }
+
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }

@@ -16,7 +16,8 @@ use webrobot_server::Client;
 use crate::stats::{nearest_rank, pct};
 use crate::trace::Tracer;
 use crate::{
-    peak_rss_mb, proc_status_field, scrape_counters, service_span, wire_outputs, Ctx, Outcome, Work,
+    peak_rss_mb, proc_status_field, scrape_counters, service_span, wire_outputs, Block, Ctx,
+    Outcome, Work,
 };
 
 /// Concurrent connections, one load thread each.
@@ -32,6 +33,10 @@ const CHECKPOINT_EVERY: usize = 40;
 const METRICS_EVERY: usize = 25;
 /// Set-up (spawn to first reply) is repeated and its median reported.
 const SETUP_REPS: usize = 7;
+/// The timed phase is cut into this many blocks of equal session counts;
+/// the p50, p99 and throughput are medians over the blocks, so that a
+/// stall of the host in one block does not move them.
+const BLOCKS: usize = 5;
 
 /// A spawned server; dropping it stops the process and waits for it.
 struct Server {
@@ -183,6 +188,9 @@ struct Conn<'a> {
     sessions_solved: usize,
     connects: usize,
     violations: Vec<String>,
+    /// When each block started and how many ops came before it, plus the
+    /// same for the end of the last block.
+    marks: Vec<(Instant, usize)>,
 }
 
 impl Conn<'_> {
@@ -341,14 +349,19 @@ pub fn run(ctx: &Ctx, tracer: Tracer) -> Result<Outcome, String> {
                     sessions_solved: 0,
                     connects: 0,
                     violations: Vec::new(),
+                    marks: Vec::new(),
                 };
                 scope.spawn(move || {
                     for i in 0..SESSIONS_PER_CONNECTION {
+                        if i % (SESSIONS_PER_CONNECTION / BLOCKS) == 0 {
+                            conn.marks.push((Instant::now(), conn.latencies_ms.len()));
+                        }
                         if i % RECONNECT_EVERY == 0 || conn.client.is_none() {
                             conn.connect();
                         }
                         conn.session(i);
                     }
+                    conn.marks.push((Instant::now(), conn.latencies_ms.len()));
                     conn.client = None;
                     conn
                 })
@@ -368,6 +381,22 @@ pub fn run(ctx: &Ctx, tracer: Tracer) -> Result<Outcome, String> {
     let (fds, threads) = server_gauges(server.pid());
     let peak = peak_rss_mb(Some(server.pid()));
 
+    // A block spans both connections' share of it, from the earlier start
+    // to the later end.
+    let blocks = (0..BLOCKS)
+        .map(|b| {
+            let start = conns.iter().map(|c| c.marks[b].0).min();
+            let end = conns.iter().map(|c| c.marks[b + 1].0).max();
+            Block {
+                latencies_ms: conns
+                    .iter()
+                    .flat_map(|c| &c.latencies_ms[c.marks[b].1..c.marks[b + 1].1])
+                    .copied()
+                    .collect(),
+                seconds: end.zip(start).map_or(0.0, |(e, s)| (e - s).as_secs_f64()),
+            }
+        })
+        .collect();
     let mut tracer = tracer;
     let mut latencies_ms = Vec::new();
     let (mut failed, mut replies_ok, mut solved, mut connects) = (0, 0, 0, 0);
@@ -415,11 +444,13 @@ pub fn run(ctx: &Ctx, tracer: Tracer) -> Result<Outcome, String> {
         solved_pct: (pct(solved, sessions), sessions),
         latencies_ms,
         timed_s,
+        blocks,
         failed,
-        peak_rss_mb: peak,
+        peak_rss_mb: (peak, 1),
         counters,
         work: Work::default(),
         violations,
         tracer,
+        child_self_times: Default::default(),
     })
 }
